@@ -14,7 +14,7 @@
 //! committed baseline and diffs the two with the `bench_gate` binary).
 
 use delta_core::{sim, Benefit, BenefitConfig, CachingPolicy, NoCache, Replica, VCover};
-use delta_flow::{CoverGraph, FlowSolver, QueryNode, UpdateNode};
+use delta_flow::{CoverGraph, QueryNode, UpdateNode};
 use delta_server::{BatchItem, Request, Response};
 use delta_storage::ObjectId;
 use delta_workload::{QueryEvent, QueryKind, SyntheticSurvey, UpdateEvent, WorkloadConfig};
@@ -101,66 +101,58 @@ fn engine_benches(out: &mut Vec<Measurement>) {
     }
 }
 
-/// Races the three [`FlowSolver`] strategies on the cover-graph churn
-/// pattern the `UpdateManager` hot path produces: a steady population of
-/// `n` live segment vertices, one membership solve per arriving query,
-/// remainder-rule removals, and the compactions they trigger. Covers are
-/// identical across strategies (canonical min cut); only the clock
-/// differs — this is the race that picked `Hybrid` as the default.
+/// Times the cover-graph solve on the churn pattern the `UpdateManager`
+/// hot path produces: a steady population of `n` live segment vertices,
+/// one membership solve per arriving query, remainder-rule removals, and
+/// the compactions they trigger. The row names keep the `hybrid` tag of
+/// the strategy `CoverGraph` runs (bounded Edmonds–Karp, then Dinic), so
+/// the committed baseline rows stay comparable.
 fn flow_solve_benches(out: &mut Vec<Measurement>) {
-    const SOLVERS: [(FlowSolver, &str); 3] = [
-        (FlowSolver::EdmondsKarp, "ek"),
-        (FlowSolver::Dinic, "dinic"),
-        (FlowSolver::Hybrid, "hybrid"),
-    ];
     for &n in &[64usize, 512, 4096] {
         let events = (2_000_000 / n).max(500);
-        for (solver, tag) in SOLVERS {
-            out.push(measure(&format!("flow_solve/{tag}_n{n}"), || {
-                let mut g = CoverGraph::new();
-                g.set_solver(solver);
-                // Cheap deterministic weights (LCG) so every solver sees
-                // the identical instance stream.
-                let mut x = 0x9e3779b97f4a7c15u64;
-                let mut rng = move || {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    x >> 33
-                };
-                let mut segments: Vec<UpdateNode> =
-                    (0..n).map(|_| g.add_update(1 + rng() % 1000)).collect();
-                let mut oldest = 0usize;
-                let mut retained: Vec<QueryNode> = Vec::new();
-                for _ in 0..events {
-                    // Segment churn: the oldest vertex ships out, a fresh
-                    // one materializes (keeps the live graph at size n and
-                    // exercises removal + compaction).
-                    let dead = segments[oldest];
-                    g.remove_update(dead);
-                    segments[oldest] = g.add_update(1 + rng() % 1000);
-                    oldest = (oldest + 1) % n;
-                    // One query arrives, touching three live segments.
-                    let qn = g.add_query(1 + rng() % 1500);
-                    for _ in 0..3 {
-                        let pick = segments[(rng() as usize) % n];
-                        if g.update_alive(pick) {
-                            g.add_interaction(pick, qn);
-                        }
-                    }
-                    if g.solve_query_membership(qn) {
-                        retained.push(qn); // remainder rule: shipped queries stay
-                        if retained.len() > 64 {
-                            let old = retained.remove(0);
-                            g.remove_query(old);
-                        }
-                    } else {
-                        g.remove_query(qn); // answered locally
+        out.push(measure(&format!("flow_solve/hybrid_n{n}"), || {
+            let mut g = CoverGraph::new();
+            // Cheap deterministic weights (LCG) so every run sees the
+            // identical instance stream.
+            let mut x = 0x9e3779b97f4a7c15u64;
+            let mut rng = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 33
+            };
+            let mut segments: Vec<UpdateNode> =
+                (0..n).map(|_| g.add_update(1 + rng() % 1000)).collect();
+            let mut oldest = 0usize;
+            let mut retained: Vec<QueryNode> = Vec::new();
+            for _ in 0..events {
+                // Segment churn: the oldest vertex ships out, a fresh
+                // one materializes (keeps the live graph at size n and
+                // exercises removal + compaction).
+                let dead = segments[oldest];
+                g.remove_update(dead);
+                segments[oldest] = g.add_update(1 + rng() % 1000);
+                oldest = (oldest + 1) % n;
+                // One query arrives, touching three live segments.
+                let qn = g.add_query(1 + rng() % 1500);
+                for _ in 0..3 {
+                    let pick = segments[(rng() as usize) % n];
+                    if g.update_alive(pick) {
+                        g.add_interaction(pick, qn);
                     }
                 }
-                events as u64
-            }));
-        }
+                if g.solve_query_membership(qn) {
+                    retained.push(qn); // remainder rule: shipped queries stay
+                    if retained.len() > 64 {
+                        let old = retained.remove(0);
+                        g.remove_query(old);
+                    }
+                } else {
+                    g.remove_query(qn); // answered locally
+                }
+            }
+            events as u64
+        }));
     }
 }
 

@@ -35,8 +35,8 @@
 //!
 //! This is sound because the residual-reachable set of *any* maximum flow
 //! is the same canonical set (the minimal source-side min cut): whichever
-//! augmenting order — or [`FlowSolver`] — produced maximality, membership
-//! answers are identical.
+//! augmenting order produced maximality, membership answers are
+//! identical.
 
 use crate::dinic::{dinic_max_flow_with, DinicScratch};
 use crate::graph::{EdgeId, FlowNetwork, NodeId, INF};
@@ -50,29 +50,8 @@ pub struct UpdateNode(pub usize);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryNode(pub usize);
 
-/// How [`CoverGraph`] pushes the incremental flow to maximality on each
-/// solve. All three produce identical covers (the residual-reachable set
-/// of a maximum flow is canonical); they differ only in wall-clock cost,
-/// raced head-to-head in the `flow_solve` bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlowSolver {
-    /// Shortest-augmenting-path (Edmonds–Karp) until no path remains —
-    /// the paper's §4 incremental step. One BFS per augmenting path.
-    EdmondsKarp,
-    /// Dinic's blocking flow on every solve. Fewer phases when many
-    /// paths are needed, but each phase costs a full level-graph BFS —
-    /// overkill for the common 0/1-augmentation incremental solve.
-    Dinic,
-    /// A bounded burst of Edmonds–Karp augmentations (covering the
-    /// common incremental case at one BFS each), falling back to Dinic
-    /// when the residual demand is larger — e.g. right after a
-    /// mass-removal rewired lots of flow. The measured default.
-    #[default]
-    Hybrid,
-}
-
-/// Edmonds–Karp augmentations the [`FlowSolver::Hybrid`] strategy
-/// attempts before handing the solve to Dinic.
+/// Edmonds–Karp augmentations [`CoverGraph`] attempts on each solve
+/// before handing the rest to Dinic.
 const HYBRID_EK_BUDGET: usize = 8;
 
 /// Pooled edge-list Vecs retained for reuse (beyond this, capacity is
@@ -127,7 +106,6 @@ pub struct CoverGraph {
     /// Live interaction edges (both endpoints alive).
     live_edges: usize,
     removed_nodes: usize,
-    solver: FlowSolver,
     dinic: DinicScratch,
     /// Recycled `UEntry::edges` / `QEntry::edges` Vecs from removed
     /// nodes, reused by `add_update` / `add_query`.
@@ -162,24 +140,12 @@ impl CoverGraph {
             live_q: 0,
             live_edges: 0,
             removed_nodes: 0,
-            solver: FlowSolver::default(),
             dinic: DinicScratch::default(),
             u_edge_pool: Vec::new(),
             q_edge_pool: Vec::new(),
             rewires: Vec::new(),
             unode_scratch: Vec::new(),
         }
-    }
-
-    /// Selects the max-flow strategy (covers are identical under all of
-    /// them — see [`FlowSolver`]). Default is [`FlowSolver::Hybrid`].
-    pub fn set_solver(&mut self, solver: FlowSolver) {
-        self.solver = solver;
-    }
-
-    /// The active max-flow strategy.
-    pub fn solver(&self) -> FlowSolver {
-        self.solver
     }
 
     /// Adds an update node with shipping cost `weight`.
@@ -372,25 +338,20 @@ impl CoverGraph {
         self.maybe_compact();
     }
 
-    /// Pushes the current (feasible) flow to maximality with the active
-    /// [`FlowSolver`]. The incremental step of §4.
+    /// Pushes the current (feasible) flow to maximality — the
+    /// incremental step of §4. A bounded burst of Edmonds–Karp
+    /// augmentations covers the common incremental case (zero or one
+    /// path) at one BFS each; a larger residual demand, e.g. right after
+    /// a mass removal rewired lots of flow, falls through to Dinic's
+    /// blocking flow. The cover is the same whichever augmenting order
+    /// reaches maximality.
     fn maximize_flow(&mut self) {
-        match self.solver {
-            FlowSolver::EdmondsKarp => {
-                self.net.max_flow(self.s, self.t);
-            }
-            FlowSolver::Dinic => {
-                dinic_max_flow_with(&mut self.net, self.s, self.t, &mut self.dinic);
-            }
-            FlowSolver::Hybrid => {
-                for _ in 0..HYBRID_EK_BUDGET {
-                    if self.net.augment_once(self.s, self.t).is_none() {
-                        return;
-                    }
-                }
-                dinic_max_flow_with(&mut self.net, self.s, self.t, &mut self.dinic);
+        for _ in 0..HYBRID_EK_BUDGET {
+            if self.net.augment_once(self.s, self.t).is_none() {
+                return;
             }
         }
+        dinic_max_flow_with(&mut self.net, self.s, self.t, &mut self.dinic);
     }
 
     /// Answers the one question the online decision loop needs: after
@@ -616,27 +577,20 @@ mod tests {
     }
 
     #[test]
-    fn membership_matches_solve_under_every_solver() {
-        for solver in [
-            FlowSolver::EdmondsKarp,
-            FlowSolver::Dinic,
-            FlowSolver::Hybrid,
-        ] {
-            let mut g = CoverGraph::new();
-            g.set_solver(solver);
-            let u1 = g.add_update(5);
-            let u2 = g.add_update(40);
-            let q1 = g.add_query(4);
-            let q2 = g.add_query(100);
-            g.add_interaction(u1, q1);
-            g.add_interaction(u1, q2);
-            g.add_interaction(u2, q2);
-            let m1 = g.solve_query_membership(q1);
-            let m2 = g.solve_query_membership(q2);
-            let c = g.solve();
-            assert_eq!(m1, c.queries.contains(&q1), "{solver:?} q1");
-            assert_eq!(m2, c.queries.contains(&q2), "{solver:?} q2");
-        }
+    fn membership_matches_solve() {
+        let mut g = CoverGraph::new();
+        let u1 = g.add_update(5);
+        let u2 = g.add_update(40);
+        let q1 = g.add_query(4);
+        let q2 = g.add_query(100);
+        g.add_interaction(u1, q1);
+        g.add_interaction(u1, q2);
+        g.add_interaction(u2, q2);
+        let m1 = g.solve_query_membership(q1);
+        let m2 = g.solve_query_membership(q2);
+        let c = g.solve();
+        assert_eq!(m1, c.queries.contains(&q1), "q1");
+        assert_eq!(m2, c.queries.contains(&q2), "q2");
     }
 
     #[test]

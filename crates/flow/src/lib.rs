@@ -34,6 +34,6 @@ pub mod cover;
 pub mod dinic;
 pub mod graph;
 
-pub use cover::{brute_force_cover_weight, Cover, CoverGraph, FlowSolver, QueryNode, UpdateNode};
+pub use cover::{brute_force_cover_weight, Cover, CoverGraph, QueryNode, UpdateNode};
 pub use dinic::{dinic_max_flow, dinic_max_flow_with, DinicScratch};
 pub use graph::{Edge, EdgeId, FlowNetwork, NodeId, INF};

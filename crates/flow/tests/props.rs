@@ -1,9 +1,7 @@
 //! Property-based tests: the incremental cover engine against brute force
 //! and against from-scratch recomputation under random mutation sequences.
 
-use delta_flow::{
-    brute_force_cover_weight, CoverGraph, FlowNetwork, FlowSolver, QueryNode, UpdateNode,
-};
+use delta_flow::{brute_force_cover_weight, CoverGraph, FlowNetwork, QueryNode, UpdateNode};
 use proptest::prelude::*;
 
 /// A small random bipartite instance.
@@ -230,94 +228,51 @@ proptest! {
     }
 }
 
-const ALL_SOLVERS: [FlowSolver; 3] = [
-    FlowSolver::EdmondsKarp,
-    FlowSolver::Dinic,
-    FlowSolver::Hybrid,
-];
-
 proptest! {
     /// The targeted membership probe agrees with the full extraction for
-    /// every live query — under every solver strategy, across random
-    /// mutation sequences that include removals and forced compactions.
-    /// This is the fast path `UpdateManager::decide` actually takes; the
-    /// full `solve()` survives only for tests and stats, so the two must
-    /// never drift.
+    /// every live query, across random mutation sequences that include
+    /// removals and forced compactions. This is the fast path
+    /// `UpdateManager::decide` actually takes; the full `solve()`
+    /// survives only for tests and stats, so the two must never drift.
     #[test]
     fn membership_equals_full_solve(
         inst in arb_instance(8, 20),
         ops in proptest::collection::vec((proptest::bool::ANY, 0usize..8), 0..10),
         compact_at in 0usize..10,
     ) {
-        for solver in ALL_SOLVERS {
-            let (mut g, us, qs) = build(&inst);
-            g.set_solver(solver);
-            for (i, &(is_u, idx)) in ops.iter().enumerate() {
-                if is_u {
-                    if idx < us.len() && g.update_alive(us[idx]) {
-                        g.remove_update(us[idx]);
-                    }
-                } else if idx < qs.len() && g.query_alive(qs[idx]) {
-                    g.remove_query(qs[idx]);
+        let (mut g, us, qs) = build(&inst);
+        for (i, &(is_u, idx)) in ops.iter().enumerate() {
+            if is_u {
+                if idx < us.len() && g.update_alive(us[idx]) {
+                    g.remove_update(us[idx]);
                 }
-                if i == compact_at {
-                    g.compact();
-                }
-                // Interleave probes with mutations so scratch epochs from
-                // a previous solve never leak into the next one.
-                for &qn in &qs {
-                    if g.query_alive(qn) {
-                        let member = g.solve_query_membership(qn);
-                        let full = g.solve();
-                        prop_assert_eq!(
-                            member,
-                            full.queries.contains(&qn),
-                            "membership drifted from extraction under {:?}",
-                            solver
-                        );
-                    }
-                }
+            } else if idx < qs.len() && g.query_alive(qs[idx]) {
+                g.remove_query(qs[idx]);
             }
-            g.compact();
-            let cover = g.solve();
+            if i == compact_at {
+                g.compact();
+            }
+            // Interleave probes with mutations so scratch epochs from
+            // a previous solve never leak into the next one.
             for &qn in &qs {
                 if g.query_alive(qn) {
-                    prop_assert_eq!(g.solve_query_membership(qn), cover.queries.contains(&qn));
+                    let member = g.solve_query_membership(qn);
+                    let full = g.solve();
+                    prop_assert_eq!(
+                        member,
+                        full.queries.contains(&qn),
+                        "membership drifted from extraction"
+                    );
                 }
             }
-            g.check().unwrap();
         }
-    }
-
-    /// All three solver strategies produce the *identical* cover — same
-    /// weight, same vertex sets — because the residual-reachable set of
-    /// any maximum flow is the canonical minimal source-side min cut.
-    /// Byte-identical ledgers across solver choices depend on this.
-    #[test]
-    fn solvers_agree_on_cover(
-        inst in arb_instance(8, 24),
-        removals in proptest::collection::vec((proptest::bool::ANY, 0usize..8), 0..6),
-    ) {
-        let mut covers = Vec::new();
-        for solver in ALL_SOLVERS {
-            let (mut g, us, qs) = build(&inst);
-            g.set_solver(solver);
-            let _ = g.solve(); // saturate before mutating, like the engine
-            for &(is_u, idx) in &removals {
-                if is_u {
-                    if idx < us.len() && g.update_alive(us[idx]) {
-                        g.remove_update(us[idx]);
-                    }
-                } else if idx < qs.len() && g.query_alive(qs[idx]) {
-                    g.remove_query(qs[idx]);
-                }
+        g.compact();
+        let cover = g.solve();
+        for &qn in &qs {
+            if g.query_alive(qn) {
+                prop_assert_eq!(g.solve_query_membership(qn), cover.queries.contains(&qn));
             }
-            covers.push(g.solve());
         }
-        for c in &covers[1..] {
-            prop_assert_eq!(c.weight, covers[0].weight);
-            prop_assert_eq!(&c.updates, &covers[0].updates);
-            prop_assert_eq!(&c.queries, &covers[0].queries);
-        }
+        g.check().unwrap();
     }
 }

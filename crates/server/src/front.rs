@@ -1,5 +1,5 @@
 //! The epoll reactor front door: a few event-loop threads multiplexing
-//! every connection, replacing thread-per-connection at the edge.
+//! every connection — the one client data path of both tiers.
 //!
 //! ## Shape
 //!
@@ -13,10 +13,9 @@
 //!
 //! ## The per-connection state machine
 //!
-//! Each connection reuses the exact buffer discipline of the threaded
-//! front ([`crate::connection`]): a flat read buffer compacted and
-//! grown/shrunk by [`prepare_read_buffer`], and a coalesced write buffer
-//! flushed only when the loop would otherwise block. A pump serves
+//! Each connection keeps a flat read buffer compacted and grown/shrunk
+//! by [`prepare_read_buffer`] ([`crate::connection`]), and a coalesced
+//! write buffer flushed only when the loop would otherwise block. A pump serves
 //! every complete frame that has arrived, then flushes; a partial write
 //! parks the remainder (`wpos`) and arms write interest — readiness, not
 //! blocking, picks it back up.
@@ -29,14 +28,13 @@
 //! the connection and counts it under `conn.stall_drops`. Idling at a
 //! frame boundary is free — that is just a connection with nothing to
 //! say. On shutdown, boundary-idle connections close immediately and
-//! everything else gets one stall grace period, mirroring the threaded
-//! front.
+//! everything else gets one stall grace period.
 //!
 //! ## Invariants
 //!
-//! * Frames are served in arrival order per connection; responses are
-//!   appended in the same order — identical to the threaded front, so
-//!   ledgers are byte-identical under either door.
+//! * Frames are served in arrival order per connection, and responses
+//!   are appended in request order, so a connection's per-shard event
+//!   order is its send order and ledgers match the offline twin.
 //! * Read interest is dropped while more than `WRITE_COALESCE_BYTES`
 //!   of response is undrained (backpressure), so a client that stops
 //!   reading cannot balloon the write buffer.
@@ -97,8 +95,8 @@ pub(crate) fn closure_factory(factory: HandlerFactory) -> FrameFactory {
 /// firehose client costs fairness nothing — it just gets re-pumped next
 /// iteration. Sized so a deep pipelined window drains in one wakeup
 /// (each read pulls up to 64 KiB, several frames' worth): at 4 the
-/// windowed bench paid an extra epoll round-trip every few frames and
-/// lost ~15% against the thread-per-connection front.
+/// windowed bench paid an extra epoll round-trip every few frames, about
+/// 15% of its throughput.
 const READS_PER_PUMP: usize = 16;
 
 /// The reactor tier's own metrics, alongside the shared `conn.*` wire
@@ -300,8 +298,8 @@ struct Pump {
 }
 
 /// Ships as much of the write buffer as the socket accepts, returning
-/// the bytes written. A completed buffer counts one coalesced flush,
-/// mirroring the threaded front's metering.
+/// the bytes written. A completed buffer counts as one coalesced flush
+/// (`conn.flushes`), however many writes it took.
 fn try_flush(conn: &mut Conn, wire: &WireTelemetry) -> io::Result<usize> {
     let mut shipped = 0usize;
     while conn.wpos < conn.wbuf.len() {
@@ -346,7 +344,7 @@ fn pump(
     }
     'io: for read_round in 0..=READS_PER_PUMP {
         // Serve every complete frame already buffered. Counters batch
-        // per drain, like the threaded front.
+        // per drain: one set of atomic adds per read, not per frame.
         let mut frames_this_read = 0u64;
         loop {
             if conn.backpressured() || conn.handler.saturated() {
@@ -605,7 +603,7 @@ fn reactor_loop(
             draining = true;
             for key in conns.keys() {
                 // One last pump so requests that raced the flag are
-                // served, mirroring the threaded drain.
+                // served before the connection is judged idle.
                 let conn = conns.get_mut(key).expect("live key");
                 match pump(conn, key, &wire, backend.as_mut()) {
                     Ok(p) => {

@@ -33,12 +33,14 @@
 //! * [`shard`] — one lock-protected engine core per shard, each owning a
 //!   [`delta_core::CachingPolicy`] (VCover by default, pluggable), a
 //!   [`delta_storage::Repository`] slice and a cache, accounting into its
-//!   own [`delta_core::CostLedger`]; connection threads execute shard
+//!   own [`delta_core::CostLedger`]; the reactor threads execute shard
 //!   work inline (no per-event thread handoff).
-//! * [`server`] — the TCP listener: per-connection framing threads with
-//!   reusable read/write buffers (responses coalesce into one socket
-//!   write per pipelined window), wire-byte metering on a
-//!   [`delta_net::TrafficMeter`], and graceful drain on shutdown.
+//! * [`front`] — the epoll reactor front door both tiers serve clients
+//!   through: a few event loops multiplex every connection with reusable
+//!   read/write buffers (responses coalesce into one socket write per
+//!   pipelined window), stall deadlines and graceful drain.
+//! * [`server`] — the node: request execution, wire-byte metering on a
+//!   [`delta_net::TrafficMeter`], cluster-node duties and shutdown.
 //! * [`client`] — the typed clients: lockstep [`DeltaClient`] and the
 //!   windowed [`PipelinedClient`].
 //!

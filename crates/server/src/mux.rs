@@ -16,9 +16,8 @@
 //! * [`MergeState`] — merges per-op [`BatchReply`]s back into per-item
 //!   replies with the exact batch semantics of the in-process fan-out
 //!   (query sub-replies accumulate, update replies overwrite, an error
-//!   poisons its item only). Both the threaded per-connection path and
-//!   the mux path go through it, which is what keeps the two data
-//!   planes byte-identical.
+//!   poisons its item only), which is what keeps cluster ledgers
+//!   byte-identical to the in-process twin.
 //! * [`FanoutTable`] — one entry per suspended client request: which
 //!   connection owes the response, how many node sub-requests are still
 //!   outstanding (and on which nodes), and the merge in progress. A
@@ -232,7 +231,7 @@ pub enum ReplyKind {
     },
 }
 
-/// Converts a single-item reply into the lockstep response shape.
+/// Converts a single-item reply into the unbatched response shape.
 pub fn single_reply(reply: BatchReply) -> Response {
     match reply {
         BatchReply::Query {
@@ -316,8 +315,8 @@ pub struct Completion {
     /// the caller owns the wheel and must cancel it.
     pub timer: Option<TimerKey>,
     /// `Ok` is a response frame (typed errors included); `Err` kills
-    /// the client connection, exactly like the threaded path's
-    /// non-node-unavailable errors.
+    /// the client connection — a node that answered with an error or
+    /// an unexpected reply cannot be trusted to have done the work.
     pub result: Result<Response, io::Error>,
 }
 
@@ -493,8 +492,8 @@ impl FanoutTable {
         done
     }
 
-    /// Fails `entry` fatally (`Err` kills the client connection) — the
-    /// mux twin of the threaded path's non-unavailable node errors.
+    /// Fails `entry` fatally (`Err` kills the client connection): the
+    /// node answered, but with an error or an unexpected reply.
     pub fn fatal_sub(
         &mut self,
         entry: &SubEntry,

@@ -1,12 +1,13 @@
 //! The TCP service: listener, per-connection framing, inline shard
 //! execution, cluster-node duties and graceful shutdown.
 //!
-//! Each accepted connection gets a thread that decodes request frames
-//! and executes them directly against the lock-protected
-//! [`crate::shard::ShardCore`]s (per-shard mutexes serialize per-shard
-//! event order; different connections proceed in parallel on different
-//! shards), so each connection sees strictly ordered request/response
-//! pairs with no per-event thread handoff. Wire bytes are recorded on a
+//! Accepted connections are multiplexed by the reactor front door
+//! ([`crate::front`]); each decoded request frame executes directly
+//! against the lock-protected [`crate::shard::ShardCore`]s on the event
+//! loop that read it (per-shard mutexes serialize per-shard event order;
+//! different loops proceed in parallel on different shards), so each
+//! connection sees strictly ordered request/response pairs with no
+//! per-event thread handoff. Wire bytes are recorded on a
 //! shared [`delta_net::TrafficMeter`] (query frames as `QueryShip`,
 //! update frames as `UpdateShip`, the rest as `Control`), so an operator
 //! can audit protocol overhead separately from the policy-level ledgers.
@@ -26,9 +27,8 @@
 //! silently given a wrong answer.
 
 use crate::client::DeltaClient;
-use crate::config::FrontDoor;
-use crate::config::ServerConfig;
-use crate::connection::{serve_frames, WireTelemetry, POLL};
+use crate::config::{FrontDoor, ServerConfig};
+use crate::connection::WireTelemetry;
 use crate::front::{closure_factory, Handler, HandlerFactory, ReactorFront, ReactorTelemetry};
 use crate::partition::{apportion, Partitioner};
 use crate::protocol::{
@@ -45,7 +45,7 @@ use delta_storage::{ObjectCatalog, ObjectId};
 use delta_telemetry::{Telemetry, TelemetrySnapshot};
 use delta_workload::QueryEvent;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
@@ -359,7 +359,7 @@ struct Shared {
     frontend: Option<Arc<QueryCompiler>>,
     /// This node's metric registry; scraped by [`Request::Telemetry`].
     telemetry: Arc<Telemetry>,
-    /// Wire-level counter handles shared by every connection thread.
+    /// Wire-level counter handles shared by every connection.
     wire: WireTelemetry,
     /// Replication runtime, when the node was started with
     /// `--replicas > 0`; `None` keeps the pre-replication data path.
@@ -408,31 +408,30 @@ fn accept_loop(
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
 ) -> StatsSnapshot {
-    match shared.config.front {
-        FrontDoor::Threaded => accept_threaded(listener, &shared, &shutdown),
-        FrontDoor::Reactor { threads } => {
-            let factory_shared = Arc::clone(&shared);
-            let factory: HandlerFactory = Arc::new(move || -> Handler {
-                let shared = Arc::clone(&factory_shared);
-                let mut conn = ConnState {
-                    compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
-                    epoch: 0,
-                };
-                Box::new(move |payload, wbuf| handle_frame(&shared, payload, wbuf, &mut conn))
-            });
-            ReactorFront {
-                name: "delta-server",
-                threads,
-                shutdown: Arc::clone(&shutdown),
-                wire: shared.wire.clone(),
-                rtel: ReactorTelemetry::register(&shared.telemetry),
-                stall_limit: shared.config.stall_limit,
-                factory: closure_factory(factory),
-                backend: None,
-            }
-            .run(listener);
-        }
+    let FrontDoor::Reactor { threads } = shared.config.front;
+    let factory_shared = Arc::clone(&shared);
+    let factory: HandlerFactory = Arc::new(move || -> Handler {
+        let shared = Arc::clone(&factory_shared);
+        // Each connection compiles SQL with its own clone of the
+        // frontend — compilation is CPU-bound, so connections never
+        // contend on it.
+        let mut conn = ConnState {
+            compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
+            epoch: 0,
+        };
+        Box::new(move |payload, wbuf| handle_frame(&shared, payload, wbuf, &mut conn))
+    });
+    ReactorFront {
+        name: "delta-server",
+        threads,
+        shutdown: Arc::clone(&shutdown),
+        wire: shared.wire.clone(),
+        rtel: ReactorTelemetry::register(&shared.telemetry),
+        stall_limit: shared.config.stall_limit,
+        factory: closure_factory(factory),
+        backend: None,
     }
+    .run(listener);
     // Connections have drained; shut the shards down, collecting their
     // final ledgers (and writing snapshots).
     let mut stats: Vec<ShardStats> = Vec::new();
@@ -445,46 +444,6 @@ fn accept_loop(
     StatsSnapshot { shards: stats }
 }
 
-/// The pre-reactor front door: one blocking thread per connection.
-fn accept_threaded(listener: TcpListener, shared: &Arc<Shared>, shutdown: &Arc<AtomicBool>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        // Reap finished connections so a long-lived daemon doesn't
-        // accumulate dead handles.
-        connections.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("delta-conn".to_string())
-                    .spawn(move || {
-                        if let Err(e) = serve_connection(stream, &shared) {
-                            // Disconnects are routine; anything else is
-                            // worth a trace on stderr.
-                            if e.kind() != io::ErrorKind::UnexpectedEof {
-                                eprintln!("delta-server: connection error: {e}");
-                            }
-                        }
-                    })
-                    .expect("spawn connection thread");
-                connections.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(e) => {
-                eprintln!("delta-server: accept error: {e}");
-                std::thread::sleep(POLL);
-            }
-        }
-    }
-    // Drain: connections observe the flag within one poll interval;
-    // reads and writes are both bounded.
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
 /// Per-connection mutable state the request handler threads through.
 struct ConnState {
     /// This connection's SQL compiler clone, when the server has one.
@@ -495,25 +454,9 @@ struct ConnState {
     epoch: u64,
 }
 
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    // Each connection compiles SQL with its own clone of the frontend —
-    // compilation is CPU-bound, so connections never contend on it.
-    let mut conn = ConnState {
-        compiler: shared.frontend.as_ref().map(|c| (**c).clone()),
-        epoch: 0,
-    };
-    serve_frames(
-        stream,
-        &shared.shutdown,
-        &shared.wire,
-        shared.config.stall_limit,
-        |payload, wbuf| handle_frame(shared, payload, wbuf, &mut conn),
-    )
-}
-
-/// Serves one request frame: the handler body shared by the threaded
-/// front (via [`serve_connection`]) and the reactor front (via the
-/// handler factory in [`accept_loop`]), so the two doors cannot drift.
+/// Serves one request frame: decodes it, unwraps a `Tagged` envelope,
+/// executes the request and appends exactly one response frame, so
+/// responses leave in request order.
 fn handle_frame(
     shared: &Shared,
     payload: &[u8],
@@ -716,7 +659,7 @@ fn handle_request(shared: &Shared, request: Request, conn: &mut ConnState) -> Re
         Request::ReplicaStatus => handle_replica_status(shared),
         Request::Promote { shard } => handle_promote(shared, shard),
         // Nested tags are rejected by the decoder; a bare Tagged here
-        // means the caller bypassed `serve_connection`'s unwrapping.
+        // means the caller bypassed `handle_frame`'s unwrapping.
         Request::Tagged { inner, .. } => handle_request(shared, *inner, conn),
         Request::Stats => {
             let mut shards: Vec<ShardStats> = Vec::new();

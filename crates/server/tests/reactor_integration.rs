@@ -1,14 +1,11 @@
 //! End-to-end tests for the connection deadline discipline and the
 //! epoll reactor front door, on a real server over TCP.
 //!
-//! The deadline tests run against **both** front doors: the stall
-//! clock used to arm only once shutdown was pending, so a half-open
-//! client (partial frame, then silence) could pin a connection thread
-//! and its read buffer forever during normal serving. Under either
-//! front, such a client must now be reaped within the configured
-//! `stall_limit` — while a concurrent well-behaved client stays
-//! untouched — and an oversized length word must come back as a typed
-//! `FRAME_TOO_LARGE` error frame before the close, not a silent drop.
+//! A half-open client (partial frame, then silence) must be reaped
+//! within the configured `stall_limit` during normal serving — while a
+//! concurrent well-behaved client stays untouched — and an oversized
+//! length word must come back as a typed `FRAME_TOO_LARGE` error frame
+//! before the close, not a silent drop.
 
 use delta_server::protocol::MAX_FRAME_BYTES;
 use delta_server::{
@@ -117,11 +114,6 @@ fn half_open_reaped_under_reactor() {
     half_open_is_reaped(FrontDoor::Reactor { threads: 1 });
 }
 
-#[test]
-fn half_open_reaped_under_threaded() {
-    half_open_is_reaped(FrontDoor::Threaded);
-}
-
 /// An oversized length word draws a typed `FRAME_TOO_LARGE` error
 /// frame before the close — the client learns *why* it was dropped —
 /// and the drop is counted under `conn.oversize_rejects`.
@@ -169,47 +161,6 @@ fn oversize_gets_typed_reply(front: FrontDoor) {
 #[test]
 fn oversize_typed_reply_under_reactor() {
     oversize_gets_typed_reply(FrontDoor::Reactor { threads: 1 });
-}
-
-#[test]
-fn oversize_typed_reply_under_threaded() {
-    oversize_gets_typed_reply(FrontDoor::Threaded);
-}
-
-/// Both front doors produce byte-identical ledgers for the same
-/// lockstep replay: the reactor changes how sockets are driven, never
-/// what the shards compute.
-#[test]
-fn front_doors_agree_byte_for_byte() {
-    let mut ledgers = Vec::new();
-    for front in [FrontDoor::Reactor { threads: 2 }, FrontDoor::Threaded] {
-        let (server, survey) = start(front, Duration::from_secs(5), 150);
-        let mut client = DeltaClient::connect(server.local_addr()).expect("connect");
-        for event in survey.trace.iter() {
-            match event {
-                Event::Query(q) => {
-                    client.query(q).expect("query");
-                }
-                Event::Update(u) => {
-                    client.update(u).expect("update");
-                }
-            }
-        }
-        let stats = client.stats().expect("stats");
-        client.shutdown().expect("shutdown");
-        server.join();
-        ledgers.push(
-            stats
-                .shards
-                .iter()
-                .map(|s| s.metrics.ledger.clone())
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(
-        ledgers[0], ledgers[1],
-        "reactor and threaded fronts must serve identical ledgers"
-    );
 }
 
 /// A swarm of concurrently pipelined connections over the reactor:
